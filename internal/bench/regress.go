@@ -207,11 +207,11 @@ func calibrationParEntry(workers int, benchTime time.Duration) BenchResult {
 //	subset-loop        the §3.1 inner subset test over real OM rows —
 //	                   the hot path; must stay at 0 allocs/op
 //	baseline/*         serial §3.1 scan, small and medium inputs
-//	baseline-parN/*    ParallelBaseline at N workers
+//	baseline-parN/*    AlgorithmBaseline with Workers: N
 //	clustering/medium  serial §3.2 (pinned seed), with measured recall
-//	clustering-parN/…  ParallelClustering
+//	clustering-parN/…  AlgorithmClustering with Workers: N
 //	cubemasking/medium serial §3.3
-//	cubemasking-parN/… ParallelCubeMasking
+//	cubemasking-parN/… AlgorithmParallel with Workers: N
 func RunRegression(cfg RegressConfig) (*BenchReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &BenchReport{

@@ -165,8 +165,8 @@ func baselineBlockG(om *OccurrenceMatrix, idx []int, lo, hi int, tasks Tasks, si
 // are loaded once per batch instead of once per pair, and the per-
 // dimension boundary masks are computed once per batch — then the batch's
 // emissions are flushed lane by lane in the exact order the pair-at-a-time
-// scan produced them, so emission-order contracts (bit-identical parallel
-// replay, cancel prefixes) are unchanged.
+// scan produced them, so the serial emission order (and with it the
+// serial cancel prefix) is unchanged.
 //
 // When g is non-nil the scan charges the guard at batch granularity (the
 // stride check runs before each batch, so abort points fall between

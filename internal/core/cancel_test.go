@@ -254,43 +254,10 @@ func TestStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestParallelCancelPrefix: canceled StrongReplay parallel runs still
-// deliver an exact serial-order prefix — the tape replay drops incomplete
-// shards, so the sink never sees out-of-order or partial-shard output.
-func TestParallelCancelPrefix(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		want := &eventSink{}
-		if err := Compute(s, alg, cancelTestOptions(), want); err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []int64{1, guardPairStride, 4 * guardPairStride, 16 * guardPairStride} {
-			opts := cancelTestOptions()
-			opts.Workers = 4
-			opts.StrongReplay = true
-			opts.MaxPairs = budget
-			got := &eventSink{}
-			err := Compute(s, alg, opts, got)
-			if err != nil && !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%s budget=%d: %v", alg, budget, err)
-			}
-			if !bytes.HasPrefix(want.buf, got.buf) {
-				t.Fatalf("%s budget=%d: parallel canceled stream (%d bytes) is not a prefix of the serial stream (%d bytes)",
-					alg, budget, len(got.buf), len(want.buf))
-			}
-		}
-	}
-}
-
-// TestParallelCancelDirectSalvage: canceled direct-emit parallel runs (the
-// default) deliver the union of complete shards — every salvaged
-// relationship also appears in the full run (exactly-once, no partial
-// shards, no duplicates), even though the stream is not an ordered prefix.
+// TestParallelCancelDirectSalvage: canceled parallel runs deliver the
+// partial result of DESIGN §9.2 — every salvaged emission record (pair,
+// degree, map_P entry) also appears in the Workers: 1 run, and none twice —
+// at budgets from the first poll point to deep into the run.
 func TestParallelCancelDirectSalvage(t *testing.T) {
 	leakcheck.Check(t)
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
@@ -299,99 +266,93 @@ func TestParallelCancelDirectSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		full := NewResult()
-		if err := Compute(s, alg, cancelTestOptions(), full); err != nil {
+		opts := cancelTestOptions()
+		opts.Workers = 1
+		full := &eventSink{}
+		if err := Compute(s, alg, opts, full); err != nil {
 			t.Fatal(err)
 		}
-		seen := map[[3]int]bool{}
-		record := func(kind int, ps []Pair) {
-			for _, p := range ps {
-				seen[[3]int{kind, p.A, p.B}] = true
-			}
+		fullRecs, ok := full.records()
+		if !ok {
+			t.Fatalf("%s: malformed reference stream", alg)
 		}
-		record(0, full.FullSet)
-		record(1, full.PartialSet)
-		record(2, full.ComplSet)
-		for _, budget := range []int64{guardPairStride, 16 * guardPairStride} {
+		inFull := map[string]bool{}
+		for _, r := range fullRecs {
+			inFull[r] = true
+		}
+		for _, budget := range []int64{1, guardPairStride, 4 * guardPairStride, 16 * guardPairStride} {
 			opts := cancelTestOptions()
 			opts.Workers = 4
 			opts.MaxPairs = budget
-			got := NewResult()
+			got := &eventSink{}
 			err := Compute(s, alg, opts, got)
 			if err != nil && !errors.Is(err, ErrCanceled) {
 				t.Fatalf("%s budget=%d: %v", alg, budget, err)
 			}
-			check := func(kind int, name string, ps []Pair) {
-				t.Helper()
-				dup := map[Pair]bool{}
-				for _, p := range ps {
-					if !seen[[3]int{kind, p.A, p.B}] {
-						t.Fatalf("%s budget=%d: salvaged %s pair %v not in the full run", alg, budget, name, p)
-					}
-					if dup[p] {
-						t.Fatalf("%s budget=%d: %s pair %v emitted twice", alg, budget, name, p)
-					}
-					dup[p] = true
-				}
+			recs, ok := got.records()
+			if !ok {
+				t.Fatalf("%s budget=%d: salvaged stream is not whole records", alg, budget)
 			}
-			check(0, "full", got.FullSet)
-			check(1, "partial", got.PartialSet)
-			check(2, "compl", got.ComplSet)
+			seen := map[string]bool{}
+			for _, r := range recs {
+				if !inFull[r] {
+					t.Fatalf("%s budget=%d: salvaged record %q not in the full run", alg, budget, r)
+				}
+				if seen[r] {
+					t.Fatalf("%s budget=%d: record %q emitted twice", alg, budget, r)
+				}
+				seen[r] = true
+			}
 		}
 	}
 }
 
 // TestShardPanicRetry: a shard that panics once under a worker is retried
-// serially and the run completes with output identical to a clean run —
-// byte-identical under StrongReplay, set-identical under direct emit (the
-// retried shard's flush lands out of order but exactly once); the retry is
-// visible in the counters either way.
+// serially and the run completes with the same emissions as a clean
+// Workers: 1 run, exactly once — the retried shard's flush lands out of
+// order — and the retry is visible in the counters.
 func TestShardPanicRetry(t *testing.T) {
 	leakcheck.Check(t)
+	defer func() { shardFault = nil }()
 	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
 	s, err := NewSpace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
+		opts := cancelTestOptions()
+		opts.Workers = 1
 		want := &eventSink{}
-		if err := Compute(s, alg, cancelTestOptions(), want); err != nil {
+		if err := Compute(s, alg, opts, want); err != nil {
 			t.Fatal(err)
 		}
-		for _, strong := range []bool{true, false} {
-			var mu sync.Mutex
-			panicked := false
-			col := obsv.NewCollector()
-			opts := cancelTestOptions()
-			opts.Workers = 4
-			opts.StrongReplay = strong
-			opts.Obs = col
-			opts.ShardFault = func(shard int) {
-				mu.Lock()
-				defer mu.Unlock()
-				if shard == 0 && !panicked {
-					panicked = true
-					panic(fmt.Sprintf("injected fault in shard %d", shard))
-				}
+		var mu sync.Mutex
+		panicked := false
+		shardFault = func(shard int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if shard == 0 && !panicked {
+				panicked = true
+				panic(fmt.Sprintf("injected fault in shard %d", shard))
 			}
-			got := &eventSink{}
-			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatalf("%s strong=%v: run with a once-panicking shard should recover, got %v", alg, strong, err)
-			}
-			s.SetRecorder(nil)
-			if strong {
-				if !bytes.Equal(got.buf, want.buf) {
-					t.Fatalf("%s: recovered run's stream differs from the clean serial stream (%d vs %d bytes)",
-						alg, len(got.buf), len(want.buf))
-				}
-			} else if !got.equalAsSets(want) {
-				t.Fatalf("%s: recovered direct-emit run's emissions differ as a set from the clean serial run", alg)
-			}
-			snap := col.Snapshot()
-			if snap[CtrShardPanics] == 0 || snap[CtrShardRetries] == 0 {
-				t.Errorf("%s strong=%v: retry not visible in counters: panics=%v retries=%v",
-					alg, strong, snap[CtrShardPanics], snap[CtrShardRetries])
-			}
+		}
+		col := obsv.NewCollector()
+		opts.Workers = 4
+		opts.Obs = col
+		got := &eventSink{}
+		err := Compute(s, alg, opts, got)
+		shardFault = nil
+		s.SetRecorder(nil)
+		if err != nil {
+			t.Fatalf("%s: run with a once-panicking shard should recover, got %v", alg, err)
+		}
+		if !got.equalAsSets(want) {
+			t.Fatalf("%s: recovered run's emissions differ as a set from the clean Workers: 1 run", alg)
+		}
+		snap := col.Snapshot()
+		if snap[CtrShardPanics] == 0 || snap[CtrShardRetries] == 0 {
+			t.Errorf("%s: retry not visible in counters: panics=%v retries=%v",
+				alg, snap[CtrShardPanics], snap[CtrShardRetries])
 		}
 	}
 }
@@ -406,14 +367,15 @@ func TestShardPanicTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shardFault = func(shard int) {
+		if shard == 1 {
+			panic("persistent fault")
+		}
+	}
+	defer func() { shardFault = nil }()
 	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
 		opts := cancelTestOptions()
 		opts.Workers = 4
-		opts.ShardFault = func(shard int) {
-			if shard == 1 {
-				panic("persistent fault")
-			}
-		}
 		var fp1 string
 		for rep := 0; rep < 2; rep++ {
 			err := Compute(s, alg, opts, &eventSink{})

@@ -78,9 +78,9 @@ type Options struct {
 	// Workers sets the worker-pool size of the parallelizable algorithms.
 	// For AlgorithmParallel, zero means GOMAXPROCS. For AlgorithmBaseline
 	// and AlgorithmClustering, zero (or one) keeps the paper-faithful
-	// serial scan, and any larger value runs the sharded parallel variant
-	// (ParallelBaseline / ParallelClustering) — output is bit-identical
-	// either way.
+	// serial scan, and any larger value runs the sharded parallel variant.
+	// A parallel run emits the same relationship set as Workers: 1 — equal
+	// after Result.Sort — but in shard completion order, not serial order.
 	Workers int
 	// Obs, when non-nil, receives phase spans, counters and gauges from
 	// the run (see obs.go for the name glossary). All algorithms consult
@@ -93,8 +93,8 @@ type Options struct {
 	// Deadline bounds the wall-clock duration of the run. Zero means no
 	// deadline. A run that exceeds it is cooperatively canceled and
 	// returns a *CanceledError whose cause is context.DeadlineExceeded;
-	// the sink then holds an exact serial-order prefix of the full
-	// emission stream. All algorithms consult it.
+	// the sink then holds the partial result described at ComputeCtx. All
+	// algorithms consult it.
 	Deadline time.Duration
 	// MaxPairs bounds the number of ordered observation pairs the run may
 	// charge before it is canceled with cause ErrPairBudget. Zero means
@@ -106,24 +106,6 @@ type Options struct {
 	// observed for this long, the run is canceled with cause ErrStalled.
 	// Zero disables the watchdog. All algorithms consult it.
 	StallTimeout time.Duration
-	// StrongReplay makes the parallel execution paths replay worker tapes
-	// in serial shard order, so the emission stream — order included — is
-	// bit-identical to a serial run, and a canceled run's sink holds an
-	// exact serial-order prefix. The default (false) is direct emit:
-	// shards stream into the sink in completion order, flushing in
-	// bounded chunks, which keeps peak tape memory at O(workers × one
-	// 64 KiB chunk) instead of O(all shards' events) — the same
-	// relationship set, delivered unordered, which is
-	// what every sorting consumer (Result.Sort, snapshots, /v1/related)
-	// wants anyway. Consumed by the parallel paths of AlgorithmBaseline,
-	// AlgorithmClustering and AlgorithmParallel.
-	StrongReplay bool
-	// ShardFault, when non-nil, is invoked with the shard index at the
-	// start of every parallel shard scan (and again on its serial retry).
-	// It exists for fault-injection tests of the panic-isolation path —
-	// a ShardFault that panics simulates a crashing worker. Consumed only
-	// by the parallel execution paths; never set it in production code.
-	ShardFault func(shard int)
 }
 
 func (o Options) tasks() Tasks {
@@ -161,9 +143,6 @@ func (o Options) Validate(alg Algorithm) error {
 	if o.Workers != 0 && alg != AlgorithmParallel && alg != AlgorithmBaseline && alg != AlgorithmClustering {
 		ignored = append(ignored, "Workers")
 	}
-	if o.StrongReplay && alg != AlgorithmParallel && alg != AlgorithmBaseline && alg != AlgorithmClustering {
-		ignored = append(ignored, "StrongReplay")
-	}
 	if len(ignored) > 0 {
 		return fmt.Errorf("core: algorithm %q ignores Options.%s; clear the field(s) or pick an algorithm that uses them",
 			alg, strings.Join(ignored, ", Options."))
@@ -187,14 +166,13 @@ func Compute(s *Space, alg Algorithm, opts Options, sink Sink) error {
 // canceled, the Options.Deadline expires, the MaxPairs budget runs out,
 // or the stall watchdog fires — whichever comes first — and returns a
 // *CanceledError (errors.Is(err, ErrCanceled)) wrapping the specific
-// cause. Serial runs (and parallel runs with Options.StrongReplay set)
-// leave an exact, deterministic serial-order prefix of the full emission
-// stream in the sink: serial kernels stop in order, and strong-replay
-// parallel kernels replay only the complete serial-order prefix of their
-// shard tapes. Default (direct-emit) parallel runs instead leave the union
-// of the shards that completed — still exactly-once, still a subset of the
-// full run, but not an ordered prefix. A nil ctx behaves like
-// context.Background().
+// cause. The sink then holds a subset of the full run, every relationship
+// emitted exactly once (DESIGN §9.2). For a serial run — every algorithm
+// without a worker pool, AlgorithmBaseline and AlgorithmClustering with
+// Workers ≤ 1, and AlgorithmParallel with Workers: 1 — that subset is also
+// an exact prefix of the serial emission order. For a parallel run it is
+// the complete shards plus the chunks that in-flight shards had already
+// flushed. A nil ctx behaves like context.Background().
 func ComputeCtx(ctx context.Context, s *Space, alg Algorithm, opts Options, sink Sink) error {
 	if opts.Strict {
 		if err := opts.Validate(alg); err != nil {
@@ -228,14 +206,14 @@ func computeG(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error 
 	switch alg {
 	case AlgorithmBaseline:
 		if opts.Workers > 1 {
-			return parallelBaselineG(s, tasks, sink, opts.Workers, opts.StrongReplay, g, opts.ShardFault)
+			return parallelBaselineG(s, tasks, sink, opts.Workers, g)
 		}
 		return baselineG(s, tasks, sink, g)
 	case AlgorithmBaselineSparse:
 		return baselineSparseG(s, tasks, sink, g)
 	case AlgorithmClustering:
 		if opts.Workers > 1 {
-			_, err := parallelClusteringG(s, tasks, sink, opts.Clustering, opts.Workers, opts.StrongReplay, g, opts.ShardFault)
+			_, err := parallelClusteringG(s, tasks, sink, opts.Clustering, opts.Workers, g)
 			return err
 		}
 		_, err := clusteringG(s, tasks, sink, opts.Clustering, g)
@@ -251,7 +229,7 @@ func computeG(s *Space, alg Algorithm, opts Options, sink Sink, g *guard) error 
 	case AlgorithmHybrid:
 		return hybridG(s, tasks, sink, opts.Hybrid, g)
 	case AlgorithmParallel:
-		return parallelCubeMaskingG(s, tasks, sink, opts.Workers, opts.StrongReplay, g, opts.ShardFault)
+		return parallelCubeMaskingG(s, tasks, sink, opts.Workers, g)
 	default:
 		return fmt.Errorf("core: unknown algorithm %q (supported: %s)", alg, AlgorithmNames())
 	}
@@ -267,10 +245,9 @@ func ComputeCorpus(c *qb.Corpus, alg Algorithm, opts Options) (*Space, *Result, 
 
 // ComputeCorpusCtx is ComputeCorpus with cooperative cancellation. On
 // cancellation it returns the compiled space, the SORTED PARTIAL result
-// (the salvageable serial-order prefix of the run, ready to query or
-// export), and the *CanceledError — so callers can both report the abort
-// and use what was computed. Any other error returns (nil, nil, err) as
-// before.
+// (the salvaged subset described at ComputeCtx, ready to query or export),
+// and the *CanceledError — so callers can both report the abort and use
+// what was computed. Any other error returns (nil, nil, err) as before.
 func ComputeCorpusCtx(ctx context.Context, c *qb.Corpus, alg Algorithm, opts Options) (*Space, *Result, error) {
 	s, err := NewSpaceObs(c, opts.Obs)
 	if err != nil {

@@ -23,13 +23,12 @@ import (
 //     allocations, preserving the committed BENCH_0.json gates.
 //   - A tripped guard makes the kernel return a *CanceledError (matching
 //     errors.Is(err, ErrCanceled)). The relationships already emitted into
-//     the caller's sink are an exact prefix of the serial emission stream:
-//     serial kernels emit in order and stop, and the parallel kernels
-//     replay only the complete serial-order prefix of their shard tapes
-//     (see finishShards), discarding partially scanned shards. A canceled
-//     run therefore yields exactly what a serial run would have produced
-//     up to some deterministic emission boundary — partial results are
-//     salvageable, never garbage.
+//     the caller's sink are the partial result of DESIGN §9.2: a subset of
+//     the full run, every relationship exactly once. Serial kernels emit
+//     in order and stop, so theirs is an exact prefix of the serial
+//     emission stream; the parallel kernels keep their complete shards
+//     plus the chunks in-flight shards had already flushed (see
+//     runShardPool). Partial results are salvageable, never garbage.
 //   - Poll points sit at fixed pair counts, so a serial run canceled by a
 //     MaxPairs budget is bit-for-bit reproducible.
 //
@@ -56,9 +55,10 @@ var ErrPairBudget = errors.New("core: pair budget exhausted")
 var ErrStalled = errors.New("core: run stalled: no pair progress")
 
 // CanceledError reports a cooperatively aborted run. The partial result
-// is not carried in the error but in the caller's sink: everything
-// emitted before the trip is an exact, deterministic serial-order prefix
-// of the full run's emission stream (see the package comment on guard).
+// is not carried in the error but in the caller's sink: a subset of the
+// full run with every relationship emitted exactly once, and for a serial
+// run an exact prefix of the serial emission order (see ComputeCtx and
+// DESIGN §9.2).
 type CanceledError struct {
 	// Cause is the specific trigger: context.Canceled,
 	// context.DeadlineExceeded, ErrPairBudget or ErrStalled.
@@ -84,7 +84,7 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 // identifies the shard's input deterministically so the failure is
 // reproducible from a bug report.
 type ShardPanicError struct {
-	// Shard is the shard index in serial replay order.
+	// Shard is the shard index in serial iteration order.
 	Shard int
 	// Fingerprint is a stable hash of the shard's input (kind, index
 	// range, member indices) — enough to re-select the failing work item.
@@ -147,7 +147,7 @@ func (g *guard) charge(delta int64) error {
 
 // poll checks for cancellation without charging progress — the poll point
 // for phases that do no pair work (lattice sweeps over pruned pairs,
-// cluster assignment, replay boundaries).
+// cluster assignment).
 func (g *guard) poll() error {
 	if g == nil {
 		return nil

@@ -69,7 +69,7 @@ const (
 
 // Span (phase) names, forming the run's phase tree: compile (with om.build
 // / sparse.build / lattice.build sub-phases where applicable) → compare →
-// emit. The parallel variant adds a replay phase.
+// emit.
 const (
 	SpanCompile      = "compile"
 	SpanOMBuild      = "om.build"
@@ -77,7 +77,6 @@ const (
 	SpanLatticeBuild = "lattice.build"
 	SpanCluster      = "cluster.assign"
 	SpanCompare      = "compare"
-	SpanReplay       = "replay"
 	SpanEmit         = "emit"
 )
 

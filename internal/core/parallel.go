@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,8 +9,9 @@ import (
 // Shared parallel shard engine. All three parallel algorithms follow one
 // shape: deterministic shards (row blocks, clusters, outer cubes) are fed
 // to a worker pool, each worker records its shard's emissions onto a
-// pooled private tape, and the tapes are replayed into the caller's sink
-// in serial shard order — making parallel output bit-identical to serial.
+// pooled private tape, and the tapes are decoded straight into the
+// caller's sink as they fill or finish (direct emit). The sink sees the
+// same relationship set as a serial run, delivered in completion order.
 // runShardPool adds the robustness contract on top:
 //
 //   - Cooperative cancellation: workers consult the shared guard before
@@ -20,12 +20,9 @@ import (
 //     feed channel even when tripped — they just stop doing work — so the
 //     feeder can never block on an unconsumed send and the merge can
 //     never deadlock, no matter when cancellation lands.
-//   - Prefix salvage: after the pool drains, the longest run of complete
-//     shards from index 0 is replayed; later tapes (partial or complete)
-//     are discarded. Each tape is the serial emission order restricted to
-//     its shard, so the replayed prefix is an exact prefix of the serial
-//     emission stream — a canceled parallel run yields exactly what a
-//     serial run would have produced up to a shard boundary.
+//   - Salvage: a canceled run's sink holds the complete shards plus the
+//     chunks that in-flight shards had already flushed, every relationship
+//     exactly once (DESIGN §9.2).
 //   - Panic isolation: a shard whose scan panics under a worker is
 //     retried once, serially, on a fresh tape after the pool drains. A
 //     second panic fails the run with a ShardPanicError carrying the
@@ -33,19 +30,10 @@ import (
 //     therefore costs a retry, not the process; two prove a reproducible
 //     bug and are reported as one.
 
-// shardStatus tracks one work item through scan, retry and replay.
-type shardStatus uint8
-
-const (
-	// shardPending marks a shard never claimed (the guard tripped first).
-	shardPending shardStatus = iota
-	// shardDone marks a complete private tape, eligible for replay.
-	shardDone
-	// shardAborted marks a scan stopped mid-shard by the guard.
-	shardAborted
-	// shardPanicked marks a scan that panicked under a worker.
-	shardPanicked
-)
+// shardFault, when non-nil, is called with the shard index at the start of
+// every parallel shard scan and again on its serial retry. Tests set it to
+// simulate a crashing worker; it stays nil in production.
+var shardFault func(shard int)
 
 // shardPool describes one parallel run for runShardPool.
 type shardPool struct {
@@ -67,20 +55,18 @@ type shardPool struct {
 
 // tapeMerge is the direct-emit merge: completed shard tapes are decoded
 // straight into the (already instrumented) caller sink, serialized by the
-// mutex, instead of being retained for an ordered replay. The sink sees
-// shards in COMPLETION order, not serial shard order — direct emit is for
-// order-free sinks; StrongReplay keeps the ordered-replay path. Exactly-
-// once still holds: a tape is flushed only after its shard's scan returned
-// cleanly, so aborted scans and panicked-then-retried shards never emit
-// twice or emit a partial shard.
+// mutex. The sink sees shards in COMPLETION order, not serial shard order,
+// which is all a relationship SET needs. Exactly-once still holds: a
+// shard's tail is flushed only after its scan returned cleanly, and the
+// retry of a panicked shard skips the chunks its first attempt flushed.
 type tapeMerge struct {
 	mu   sync.Mutex
 	sink Sink
 	rec  DimsRecorder
 }
 
-// newTapeMerge instruments the sink once up front (replayTapes does the
-// same lazily) and captures its optional DimsRecorder extension.
+// newTapeMerge instruments the sink once up front and captures its
+// optional DimsRecorder extension.
 func newTapeMerge(s *Space, sink Sink) *tapeMerge {
 	sink = instrumentSink(s, sink)
 	rec, _ := sink.(DimsRecorder)
@@ -127,8 +113,7 @@ func (m *tapeMerge) flushChunk(t *tape) {
 // the buffer rewinds. Peak tape memory per worker is therefore one chunk
 // (plus one in-flight event), independent of shard size — the property the
 // bench harness's parallel bytes/op cap enforces. A var, not a const, so
-// tests can shrink it to force mid-shard flushes. Ordered (StrongReplay)
-// runs never chunk: they need whole tapes to replay in serial shard order.
+// tests can shrink it to force mid-shard flushes.
 var tapeChunkSize = 64 << 10
 
 // chunkedTape is the direct-emit local sink: every event lands on the
@@ -169,54 +154,44 @@ func (m *tapeMerge) chunked(t *tape, wantDims bool) Sink {
 	return chunkedTape{t, m}
 }
 
-// runShardPool runs the pool and returns the replayable tape prefix.
-// Return contract: (tapes, nil) is a clean, complete run; (tapes, err)
-// with errors.Is(err, ErrCanceled) means tapes is the salvageable prefix
-// and should still be replayed; (nil, err) is a ShardPanicError — nothing
-// to replay, all tapes released. With a non-nil merge the pool runs in
-// direct-emit mode: completed tapes are flushed into merge as they finish
-// and the returned tape slice is always nil — on cancellation the sink
-// holds the complete shards plus any chunks in-flight shards had already
-// flushed, rather than a serial-order prefix.
-func runShardPool(s *Space, sp shardPool, nShards, workers int, wantDims bool, merge *tapeMerge, g *guard, fault func(int)) ([]*tape, error) {
-	tapes := make([]*tape, nShards)
-	status := make([]shardStatus, nShards)
+// runShardPool runs the pool, flushing every shard into sink as it fills
+// and finishes. It returns nil for a clean, complete run; an error matching
+// ErrCanceled when the guard tripped (the sink then holds the complete
+// shards plus the chunks in-flight shards had already flushed); or a
+// ShardPanicError when a shard panicked again on its serial retry.
+func runShardPool(s *Space, sp shardPool, nShards, workers int, sink Sink, g *guard) error {
+	_, wantDims := sink.(DimsRecorder)
+	merge := newTapeMerge(s, sink)
+	// panicked marks the shards whose scan panicked under a worker; flushed
+	// holds how many tape bytes each had already chunk-flushed into the
+	// sink. Each shard index is claimed by exactly one worker, so the
+	// per-index writes are race-free.
+	panicked := make([]bool, nShards)
+	flushed := make([]int, nShards)
 
 	// runOne scans shard si on a fresh private tape, converting a panic
-	// into shardPanicked instead of letting it unwind the worker. Each
-	// shard index is claimed by exactly one worker, so the per-index
-	// writes to tapes/status are race-free.
+	// into a retry mark instead of letting it unwind the worker.
 	runOne := func(si int, ws any) {
-		var local Sink
-		tapes[si], local = borrowTape(wantDims)
-		if merge != nil {
-			local = merge.chunked(tapes[si], wantDims)
-		}
+		t, _ := borrowTape(wantDims)
 		defer func() {
 			if v := recover(); v != nil {
-				status[si] = shardPanicked
+				panicked[si] = true
+				flushed[si] = t.flushed
+				releaseTape(t)
 			}
 		}()
-		if fault != nil {
-			fault(si)
+		if shardFault != nil {
+			shardFault(si)
 		}
-		if err := sp.scan(si, local, ws); err != nil {
-			status[si] = shardAborted
-			if merge != nil {
-				// Direct emit drops an aborted shard's unflushed remainder;
-				// chunks flushed before the trip stay in the sink (whole
-				// events from the deterministic stream — still a subset of
-				// the full run, never a duplicate).
-				releaseTape(tapes[si])
-				tapes[si] = nil
-			}
+		if err := sp.scan(si, merge.chunked(t, wantDims), ws); err != nil {
+			// Drop an aborted shard's unflushed remainder; chunks flushed
+			// before the trip stay in the sink (whole events from the
+			// deterministic stream — still a subset of the full run, never
+			// a duplicate).
+			releaseTape(t)
 			return
 		}
-		status[si] = shardDone
-		if merge != nil {
-			merge.flush(tapes[si])
-			tapes[si] = nil
-		}
+		merge.flush(t)
 	}
 
 	next := make(chan int)
@@ -251,133 +226,65 @@ func runShardPool(s *Space, sp shardPool, nShards, workers int, wantDims bool, m
 	close(next)
 	wg.Wait()
 
-	return finishShards(s, sp, tapes, status, wantDims, merge, g, fault)
-}
-
-// finishShards retries panicked shards serially, determines the replayable
-// serial-order prefix, and releases everything beyond it. In direct-emit
-// mode there is no prefix to compute: retried shards flush on success and
-// the tape slice result is nil.
-func finishShards(s *Space, sp shardPool, tapes []*tape, status []shardStatus, wantDims bool, merge *tapeMerge, g *guard, fault func(int)) ([]*tape, error) {
 	// Serial retry of panicked shards, in shard order, on fresh tapes: one
 	// panic is isolated (a crashing worker must not take down the run);
 	// a second, reproduced panic fails the run with the shard's input
 	// fingerprint so the bug report pins the failing work item.
-	for si := range status {
-		if status[si] != shardPanicked {
+	for si := range panicked {
+		if !panicked[si] {
 			continue
 		}
 		s.count(CtrShardPanics, 1)
 		s.count(CtrShardRetries, 1)
-		if err := retryShard(sp, si, tapes, status, wantDims, merge, fault); err != nil {
-			releaseTapes(tapes)
-			return nil, err
+		if err := retryShard(sp, si, flushed[si], wantDims, merge); err != nil {
+			return err
 		}
 	}
-
-	if merge != nil {
-		// Every completed shard has already been flushed; anything left in
-		// the slots (panicked-then-aborted retries) is partial and dropped.
-		releaseTapes(tapes)
-		return nil, g.err()
-	}
-
-	// The replayable prefix: every shard before the first non-done one
-	// holds a complete tape. On a tripped guard this is exactly the
-	// salvageable deterministic prefix; on a clean run it is everything.
-	prefix := len(tapes)
-	for si, st := range status {
-		if st != shardDone {
-			prefix = si
-			break
-		}
-	}
-	releaseTapes(tapes[prefix:])
-	return tapes[:prefix], g.err()
+	return g.err()
 }
 
 // retryShard re-scans one panicked shard serially on a fresh tape. A
 // second panic converts into a ShardPanicError; a guard trip during the
-// retry just marks the shard aborted (the prefix cut handles it).
-func retryShard(sp shardPool, si int, tapes []*tape, status []shardStatus, wantDims bool, merge *tapeMerge, fault func(int)) (err error) {
+// retry drops the shard's unflushed remainder, as in the pool.
+func retryShard(sp shardPool, si, skip int, wantDims bool, merge *tapeMerge) (err error) {
 	// Chunks the panicked attempt already flushed are in the sink for
 	// good; the retry re-scans the whole shard (deterministically) and
 	// flushTail skips exactly that many bytes, keeping emission exactly-
 	// once. The retry itself runs on a plain, unchunked tape: it is
 	// serial and single-shard, so bounding its buffer buys nothing.
-	var prevFlushed int
-	if tapes[si] != nil {
-		prevFlushed = tapes[si].flushed
-		releaseTape(tapes[si])
-	}
 	var ws any
 	if sp.newWorker != nil {
 		ws = sp.newWorker()
 	}
-	var local Sink
-	tapes[si], local = borrowTape(wantDims)
+	t, local := borrowTape(wantDims)
 	defer func() {
 		if v := recover(); v != nil {
-			status[si] = shardPanicked
 			err = &ShardPanicError{Shard: si, Fingerprint: sp.fingerprint(si), Value: v}
 		}
 	}()
-	if fault != nil {
-		fault(si)
+	if shardFault != nil {
+		shardFault(si)
 	}
-	if serr := sp.scan(si, local, ws); serr != nil {
-		status[si] = shardAborted
+	if sp.scan(si, local, ws) != nil {
+		releaseTape(t)
 		return nil
 	}
-	status[si] = shardDone
-	if merge != nil {
-		merge.flushTail(tapes[si], prevFlushed)
-		tapes[si] = nil
-	}
+	merge.flushTail(t, skip)
 	return nil
 }
 
-// releaseTapes returns every non-nil tape to the pool and nils the slots.
-func releaseTapes(tapes []*tape) {
-	for i, t := range tapes {
-		if t != nil {
-			releaseTape(t)
-			tapes[i] = nil
-		}
-	}
-}
-
-// ParallelCubeMasking is cubeMasking with cube-pair comparison spread over
-// a worker pool (the paper's §6 "distributed and parallel contexts" item,
-// realized as shared-memory parallelism). Workers claim outer cubes and
-// record emissions onto private tapes — one per outer cube — which are
-// replayed into the sink sequentially in cube order afterwards, so Sink
-// implementations need not be thread-safe and the emission stream is
-// bit-identical to serial CubeMasking's (same relationships, same order,
-// same metadata), regardless of worker count or scheduling.
+// parallelCubeMaskingG is AlgorithmParallel: cubeMasking with cube-pair
+// comparison spread over a worker pool (the paper's §6 "distributed and
+// parallel contexts" item, realized as shared-memory parallelism). Workers
+// claim outer cubes, one shard each, and emit through the direct-emit
+// merge, so Sink implementations need not be thread-safe.
 //
 // Instrumentation: workers flush batched counters into the attached
 // recorder concurrently (recorders are goroutine-safe; the Collector uses
 // atomic counters), so cube-pair and observation-pair totals stay exact
 // under parallelism. Each worker additionally reports its outer-cube
-// throughput as parallel.worker.<id>.cubes, and the replay of private
-// tapes into the caller's sink is recorded under the replay span.
-func ParallelCubeMasking(s *Space, tasks Tasks, sink Sink, workers int) {
-	if err := parallelCubeMaskingG(s, tasks, sink, workers, true, nil, nil); err != nil {
-		// Without a guard the only possible error is a twice-panicked
-		// shard; preserve the historical crash semantics of the void API.
-		panic(err)
-	}
-}
-
-// ParallelCubeMaskingCtx is ParallelCubeMasking with cooperative
-// cancellation; see the runShardPool contract for the canceled sink's
-// prefix guarantee.
-func ParallelCubeMaskingCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, workers int) error {
-	return parallelCubeMaskingG(s, tasks, sink, workers, true, newGuard(ctx, 0, 0), nil)
-}
-
-func parallelCubeMaskingG(s *Space, tasks Tasks, sink Sink, workers int, strong bool, g *guard, fault func(int)) error {
+// throughput as parallel.worker.<id>.cubes.
+func parallelCubeMaskingG(s *Space, tasks Tasks, sink Sink, workers int, g *guard) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -391,7 +298,6 @@ func parallelCubeMaskingG(s *Space, tasks Tasks, sink Sink, workers int, strong 
 		return err
 	}
 	s.gauge(GaugeWorkers, float64(workers))
-	_, wantDims := sink.(DimsRecorder)
 
 	endCompare := s.span(SpanCompare)
 	sp := shardPool{
@@ -443,36 +349,7 @@ func parallelCubeMaskingG(s *Space, tasks Tasks, sink Sink, workers int, strong 
 			return shardFingerprint("cubemask", ai, 0, 0, cubes[ai].Obs)
 		},
 	}
-	var merge *tapeMerge
-	if !strong {
-		merge = newTapeMerge(s, sink)
-	}
-	tapes, err := runShardPool(s, sp, len(cubes), workers, wantDims, merge, g, fault)
+	err := runShardPool(s, sp, len(cubes), workers, sink, g)
 	endCompare()
-	if tapes != nil {
-		replayTapes(s, sink, tapes)
-	}
 	return err
-}
-
-// replayTapes streams the workers' private tapes into the caller's sink in
-// shard-index order, under the replay span, returning each tape to the
-// pool once drained. The shard index follows the serial algorithm's outer
-// iteration (outer cube for the cube sweep, row block for the baseline,
-// cluster for clustering) and each tape preserves its shard's exact call
-// sequence, so the merged stream reproduces the serial emission stream bit
-// for bit. Sink implementations therefore need not be thread-safe, and
-// Sort-free consumers observe the same order a serial run would produce.
-func replayTapes(s *Space, sink Sink, tapes []*tape) {
-	endReplay := s.span(SpanReplay)
-	defer endReplay()
-	sink = instrumentSink(s, sink)
-	recorder, _ := sink.(DimsRecorder)
-	for _, t := range tapes {
-		if t == nil {
-			continue
-		}
-		t.replay(sink, recorder)
-		releaseTape(t)
-	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 
 	"rdfcube/internal/cluster"
@@ -9,26 +8,23 @@ import (
 
 // This file extends the paper's §6 "distributed and parallel contexts"
 // future-work item beyond cubeMasking (parallel.go) to the other two
-// published algorithms:
+// published algorithms, selected by Options.Workers > 1:
 //
-//   - ParallelBaseline shards the §3.1 quadratic pair scan — the reference
+//   - parallelBaselineG shards the §3.1 quadratic pair scan — the reference
 //     point of every experiment in Figs. 7–9 — over contiguous row blocks
 //     of the occurrence matrix. Each block runs the per-dimension CM_i
 //     bit-AND sweep for its outer rows against all later rows.
-//   - ParallelClustering runs the §3.2 intra-cluster baseline scans as
+//   - parallelClusteringG runs the §3.2 intra-cluster baseline scans as
 //     independent work items (one cluster each), stolen from a shared
 //     channel.
 //
-// Both reuse the deterministic private-sink + ordered-replay merge of
-// parallel.go: workers record emissions onto pooled private tapes, and the
-// replay walks the tapes in shard-index order. Because a tape preserves
-// its shard's exact call sequence — the serial algorithm's emission order
-// restricted to that shard — and shards are replayed in serial iteration
-// order, the merged stream is bit-identical to a serial run, not merely
-// equal after Result.Sort. The parity tests assert exactly that.
+// Both reuse the shard pool and direct-emit merge of parallel.go, so they
+// emit the serial algorithm's relationship set — equal after Result.Sort,
+// in completion order rather than serial order. The parity tests assert
+// that against a Workers: 1 run.
 
 // minParallelRows is the input size below which the parallel baseline
-// falls back to the serial scan: goroutine + replay overhead dominates on
+// falls back to the serial scan: goroutine + merge overhead dominates on
 // tiny inputs, and the serial path already satisfies the parity contract.
 const minParallelRows = 64
 
@@ -37,8 +33,9 @@ const minParallelRows = 64
 // Early rows pair with nearly n partners and late rows with few, so equal
 // row counts would starve the workers that drew late blocks; equal pair
 // counts keep them busy. The block list only depends on n and the target
-// count, so the shard layout — and with it the replay order — is
-// deterministic for a given input and worker count.
+// count, so the shard layout — and with it each shard's emission stream,
+// which the panic retry re-scans — is deterministic for a given input and
+// worker count.
 func rowBlocks(n, targetBlocks int) [][2]int {
 	if targetBlocks < 1 {
 		targetBlocks = 1
@@ -65,33 +62,16 @@ func rowBlocks(n, targetBlocks int) [][2]int {
 	return blocks
 }
 
-// ParallelBaseline is the §3.1 baseline with the pair scan spread over a
+// parallelBaselineG is the §3.1 baseline with the pair scan spread over a
 // worker pool: workers claim row blocks from a shared channel
-// (work-stealing), scan them with the same allocation-free inner loop as
-// the serial baseline, and the ordered replay merges the private results
-// into the caller's sink in block order. Output — including emission
-// order — is bit-identical to Baseline's; only wall-clock differs.
-// workers <= 0 means GOMAXPROCS.
+// (work-stealing) and scan them with the same allocation-free inner loop as
+// the serial baseline. workers <= 0 means GOMAXPROCS.
 //
 // Instrumentation matches the serial baseline (obs.pairs.compared totals
 // exactly n·(n−1), bitand.tests counts every word-level subset test) plus
 // the pool's own counters: parallel.rows, and per-worker
 // parallel.worker.<id>.rows throughput.
-func ParallelBaseline(s *Space, tasks Tasks, sink Sink, workers int) {
-	if err := parallelBaselineG(s, tasks, sink, workers, true, nil, nil); err != nil {
-		// Without a guard the only possible error is a twice-panicked
-		// shard; preserve the historical crash semantics of the void API.
-		panic(err)
-	}
-}
-
-// ParallelBaselineCtx is ParallelBaseline with cooperative cancellation;
-// see the runShardPool contract for the canceled sink's prefix guarantee.
-func ParallelBaselineCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, workers int) error {
-	return parallelBaselineG(s, tasks, sink, workers, true, newGuard(ctx, 0, 0), nil)
-}
-
-func parallelBaselineG(s *Space, tasks Tasks, sink Sink, workers int, strong bool, g *guard, fault func(int)) error {
+func parallelBaselineG(s *Space, tasks Tasks, sink Sink, workers int, g *guard) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -105,7 +85,6 @@ func parallelBaselineG(s *Space, tasks Tasks, sink Sink, workers int, strong boo
 		return err
 	}
 	s.gauge(GaugeWorkers, float64(workers))
-	_, wantDims := sink.(DimsRecorder)
 
 	// Several blocks per worker so work-stealing can absorb skew from the
 	// pair-count balancing being approximate.
@@ -125,42 +104,23 @@ func parallelBaselineG(s *Space, tasks Tasks, sink Sink, workers int, strong boo
 			return shardFingerprint("baseline", bi, b[0], b[1], nil)
 		},
 	}
-	var merge *tapeMerge
-	if !strong {
-		merge = newTapeMerge(s, sink)
-	}
-	tapes, err := runShardPool(s, sp, len(blocks), workers, wantDims, merge, g, fault)
+	err := runShardPool(s, sp, len(blocks), workers, sink, g)
 	endCompare()
-	if tapes != nil {
-		replayTapes(s, sink, tapes)
-	}
 	return err
 }
 
-// ParallelClustering is the §3.2 clustering algorithm with the
+// parallelClusteringG is the §3.2 clustering algorithm with the
 // intra-cluster baseline runs spread over a worker pool: the cluster
 // assignment itself is unchanged (and stays deterministic under a fixed
 // seed), then each cluster becomes one work item on a shared channel and
-// workers steal them. Private results are replayed in cluster order, so
-// output — including emission order — is bit-identical to Clustering's
-// for the same options. workers <= 0 means GOMAXPROCS.
+// workers steal them. workers <= 0 means GOMAXPROCS. The cluster-assignment
+// phase polls the guard as well.
 //
 // The method keeps its published recall trade-off: cross-cluster pairs
 // are still skipped and still counted under cluster.pairs.skipped. The
 // pool adds parallel.clusters and per-worker
 // parallel.worker.<id>.clusters counters.
-func ParallelClustering(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int) (cluster.Clustering, error) {
-	return parallelClusteringG(s, tasks, sink, opts, workers, true, nil, nil)
-}
-
-// ParallelClusteringCtx is ParallelClustering with cooperative
-// cancellation; see the runShardPool contract for the canceled sink's
-// prefix guarantee. The cluster-assignment phase polls ctx as well.
-func ParallelClusteringCtx(ctx context.Context, s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int) (cluster.Clustering, error) {
-	return parallelClusteringG(s, tasks, sink, opts, workers, true, newGuard(ctx, 0, 0), nil)
-}
-
-func parallelClusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int, strong bool, g *guard, fault func(int)) (cluster.Clustering, error) {
+func parallelClusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOptions, workers int, g *guard) (cluster.Clustering, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -189,7 +149,7 @@ func parallelClusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOption
 
 	if workers == 1 || len(work) < 2 {
 		// Serial path: instrument here; the parallel path leaves the sink
-		// raw because replayTapes instruments it at replay time.
+		// raw because the shard merge instruments it.
 		instrumented := instrumentSink(s, sink)
 		endCompare := s.span(SpanCompare)
 		defer endCompare()
@@ -201,7 +161,6 @@ func parallelClusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOption
 		return cl, nil
 	}
 	s.gauge(GaugeWorkers, float64(workers))
-	_, wantDims := sink.(DimsRecorder)
 
 	endCompare := s.span(SpanCompare)
 	sp := shardPool{
@@ -215,15 +174,8 @@ func parallelClusteringG(s *Space, tasks Tasks, sink Sink, opts ClusteringOption
 			return shardFingerprint("clustering", wi, 0, 0, members[work[wi]])
 		},
 	}
-	var merge *tapeMerge
-	if !strong {
-		merge = newTapeMerge(s, sink)
-	}
-	tapes, perr := runShardPool(s, sp, len(work), workers, wantDims, merge, g, fault)
+	perr := runShardPool(s, sp, len(work), workers, sink, g)
 	endCompare()
-	if tapes != nil {
-		replayTapes(s, sink, tapes)
-	}
 	return cl, perr
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -12,45 +12,57 @@ import (
 	"rdfcube/internal/obsv"
 )
 
-// TestParallelReplayParity asserts ParallelCubeMasking's replay produces
-// exactly CubeMasking's output — Full/Partial/Compl sets, PartialDegree
-// AND the RecordPartialDims map — across worker counts. Run under -race
-// this also exercises the worker pool's concurrent counter flushes.
+// assertWorkersParity runs alg with Workers ∈ {1, 2, 8} and asserts every
+// run's sorted relationship sets, PartialDegree and map_P (the
+// RecordPartialDims output) equal the Workers: 1 run's — the set oracle of
+// direct emit, whose shards land in completion order. Run under -race this
+// also exercises the worker pool's merge and concurrent counter flushes.
+func assertWorkersParity(t *testing.T, label string, s *Space, alg Algorithm, opts Options) {
+	t.Helper()
+	run := func(workers int) *Result {
+		t.Helper()
+		opts.Workers = workers
+		res := NewResult()
+		if err := Compute(s, alg, opts, res); err != nil {
+			t.Fatalf("%s workers=%d: %v", label, workers, err)
+		}
+		res.Sort()
+		return res
+	}
+	want := run(1)
+	if len(want.PartialDims) == 0 {
+		t.Fatalf("%s: degenerate input: the Workers: 1 run recorded no map_P entries", label)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := run(workers)
+		if !reflect.DeepEqual(got.FullSet, want.FullSet) {
+			t.Errorf("%s workers=%d: FullSet differs (%d vs %d pairs)", label, workers, len(got.FullSet), len(want.FullSet))
+		}
+		if !reflect.DeepEqual(got.PartialSet, want.PartialSet) {
+			t.Errorf("%s workers=%d: PartialSet differs (%d vs %d pairs)", label, workers, len(got.PartialSet), len(want.PartialSet))
+		}
+		if !reflect.DeepEqual(got.ComplSet, want.ComplSet) {
+			t.Errorf("%s workers=%d: ComplSet differs (%d vs %d pairs)", label, workers, len(got.ComplSet), len(want.ComplSet))
+		}
+		if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
+			t.Errorf("%s workers=%d: PartialDegree differs", label, workers)
+		}
+		if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
+			t.Errorf("%s workers=%d: PartialDims (map_P) differs", label, workers)
+		}
+	}
+}
+
+// TestParallelReplayParity: AlgorithmParallel emits exactly serial
+// cubeMasking's relationships — sets, degrees and map_P — at every worker
+// count.
 func TestParallelReplayParity(t *testing.T) {
 	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 800, Seed: 3})
-	s, err := NewSpace(c)
+	s, err := NewSpace(gen.RealWorld(gen.RealWorldConfig{TotalObs: 800, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := NewResult()
-	CubeMasking(s, TaskAll, want, CubeMaskOptions{})
-	want.Sort()
-
-	for _, workers := range []int{1, 2, 8} {
-		got := NewResult()
-		ParallelCubeMasking(s, TaskAll, got, workers)
-		got.Sort()
-
-		if !reflect.DeepEqual(got.FullSet, want.FullSet) {
-			t.Errorf("workers=%d: FullSet differs (%d vs %d pairs)", workers, len(got.FullSet), len(want.FullSet))
-		}
-		if !reflect.DeepEqual(got.PartialSet, want.PartialSet) {
-			t.Errorf("workers=%d: PartialSet differs (%d vs %d pairs)", workers, len(got.PartialSet), len(want.PartialSet))
-		}
-		if !reflect.DeepEqual(got.ComplSet, want.ComplSet) {
-			t.Errorf("workers=%d: ComplSet differs (%d vs %d pairs)", workers, len(got.ComplSet), len(want.ComplSet))
-		}
-		if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
-			t.Errorf("workers=%d: PartialDegree differs", workers)
-		}
-		if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
-			t.Errorf("workers=%d: PartialDims (RecordPartialDims output) differs", workers)
-		}
-		if len(want.PartialDims) == 0 {
-			t.Errorf("degenerate input: no partial dims recorded")
-		}
-	}
+	assertWorkersParity(t, "parallel", s, AlgorithmParallel, Options{Tasks: TaskAll})
 }
 
 // eventSink serializes every emission — kind, pair, degree, recorded
@@ -127,145 +139,47 @@ func (e *eventSink) equalAsSets(other *eventSink) bool {
 	return true
 }
 
-// TestParityParallelBaselineBitIdentical: the parallel baseline's ordered
-// block replay must reproduce the serial baseline's emission stream bit
-// for bit — not merely the same sets after sorting — for every worker
-// count. Run under -race this also exercises the row-block pool.
+// TestParityParallelBaselineBitIdentical: the row-block parallel baseline
+// emits exactly the serial baseline's relationships at every worker count,
+// below and above the serial-fallback floor.
 func TestParityParallelBaselineBitIdentical(t *testing.T) {
 	leakcheck.Check(t)
-	for _, n := range []int{63, 200, 800} { // below and above the serial-fallback floor
-		c := gen.RealWorld(gen.RealWorldConfig{TotalObs: n, Seed: 3})
-		s, err := NewSpace(c)
+	for _, n := range []int{63, 200, 800} {
+		s, err := NewSpace(gen.RealWorld(gen.RealWorldConfig{TotalObs: n, Seed: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := &eventSink{}
-		Baseline(s, TaskAll, want)
-		if len(want.buf) == 0 {
-			t.Fatalf("n=%d: degenerate input: serial baseline emitted nothing", n)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got := &eventSink{}
-			ParallelBaseline(s, TaskAll, got, workers)
-			if !bytes.Equal(got.buf, want.buf) {
-				t.Errorf("n=%d workers=%d: emission stream differs from serial (%d vs %d bytes)",
-					n, workers, len(got.buf), len(want.buf))
-			}
-		}
+		assertWorkersParity(t, fmt.Sprintf("baseline n=%d", n), s, AlgorithmBaseline, Options{Tasks: TaskAll})
 	}
 }
 
 // TestParityParallelClusteringBitIdentical: with a pinned seed the cluster
-// assignment is deterministic, so the parallel intra-cluster scans replayed
-// in cluster order must reproduce serial Clustering's emission stream
-// exactly.
+// assignment is deterministic, so the parallel intra-cluster scans emit
+// exactly serial Clustering's relationships.
 func TestParityParallelClusteringBitIdentical(t *testing.T) {
 	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 800, Seed: 3})
-	s, err := NewSpace(c)
+	s, err := NewSpace(gen.RealWorld(gen.RealWorldConfig{TotalObs: 800, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ClusteringOptions{}
-	opts.Config.Seed = 7
-	want := &eventSink{}
-	if _, err := Clustering(s, TaskAll, want, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.buf) == 0 {
-		t.Fatal("degenerate input: serial clustering emitted nothing")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := &eventSink{}
-		if _, err := ParallelClustering(s, TaskAll, got, opts, workers); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.buf, want.buf) {
-			t.Errorf("workers=%d: emission stream differs from serial (%d vs %d bytes)",
-				workers, len(got.buf), len(want.buf))
-		}
-	}
+	opts := Options{Tasks: TaskAll}
+	opts.Clustering.Config.Seed = 7
+	assertWorkersParity(t, "clustering", s, AlgorithmClustering, opts)
 }
 
-// TestParityStrongReplayBitIdentical: Compute with Options.StrongReplay
-// must keep the historical bit-identical guarantee on every parallel path
-// — the emission stream, not just the sorted sets, matches the serial run
-// for every worker count. Run under -race this exercises the ordered
-// replay against concurrent workers.
-func TestParityStrongReplayBitIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
-	s, err := NewSpace(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
-		opts := Options{Tasks: TaskAll}
-		opts.Clustering.Config.Seed = 7
-		want := &eventSink{}
-		if err := Compute(s, alg, opts, want); err != nil {
-			t.Fatal(err)
-		}
-		if len(want.buf) == 0 {
-			t.Fatalf("%s: degenerate input: serial run emitted nothing", alg)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			opts.Workers = workers
-			opts.StrongReplay = true
-			got := &eventSink{}
-			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.buf, want.buf) {
-				t.Errorf("%s workers=%d: StrongReplay stream differs from serial (%d vs %d bytes)",
-					alg, workers, len(got.buf), len(want.buf))
-			}
-		}
-	}
-}
-
-// TestParityDirectEmitSetEquivalence: default (direct-emit) parallel runs
-// deliver the same relationship sets, degrees and map_P as serial — the
-// sorted-set equivalence oracle — for every worker count, even though
-// shard order is not preserved. Run under -race this exercises the
-// completion-order merge.
+// TestParityDirectEmitSetEquivalence: every parallel path, on one shared
+// fixture, delivers the Workers: 1 run's relationship sets, degrees and
+// map_P at every worker count.
 func TestParityDirectEmitSetEquivalence(t *testing.T) {
 	leakcheck.Check(t)
-	c := gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3})
-	s, err := NewSpace(c)
+	s, err := NewSpace(gen.RealWorld(gen.RealWorldConfig{TotalObs: 400, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{AlgorithmBaseline, AlgorithmClustering, AlgorithmParallel} {
 		opts := Options{Tasks: TaskAll}
 		opts.Clustering.Config.Seed = 7
-		want := NewResult()
-		if err := Compute(s, alg, opts, want); err != nil {
-			t.Fatal(err)
-		}
-		want.Sort()
-		for _, workers := range []int{1, 2, 8} {
-			opts.Workers = workers
-			got := NewResult()
-			if err := Compute(s, alg, opts, got); err != nil {
-				t.Fatal(err)
-			}
-			got.Sort()
-			if !reflect.DeepEqual(got.FullSet, want.FullSet) ||
-				!reflect.DeepEqual(got.PartialSet, want.PartialSet) ||
-				!reflect.DeepEqual(got.ComplSet, want.ComplSet) {
-				t.Errorf("%s workers=%d: direct-emit sets differ from serial", alg, workers)
-			}
-			if !reflect.DeepEqual(got.PartialDegree, want.PartialDegree) {
-				t.Errorf("%s workers=%d: direct-emit degrees differ from serial", alg, workers)
-			}
-			if !reflect.DeepEqual(got.PartialDims, want.PartialDims) {
-				t.Errorf("%s workers=%d: direct-emit map_P differs from serial", alg, workers)
-			}
-		}
-		if len(want.PartialDims) == 0 {
-			t.Errorf("%s: degenerate input: no partial dims recorded", alg)
-		}
+		assertWorkersParity(t, string(alg), s, alg, opts)
 	}
 }
 

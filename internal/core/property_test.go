@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -122,10 +123,11 @@ func samePairs(a, b []Pair) bool {
 // TestParityRandomSpacesAcrossWorkers is the differential oracle over
 // random corpora: for every seed × worker count, the parallel baseline and
 // parallel cubeMasking must reproduce the serial baseline's relationship
-// sets exactly, and clustering (serial or parallel — itself pairwise
-// identical) must emit a subset of the baseline's sets with its recall
-// measured and reported. Run it under -race to also exercise the tape pool
-// and counter flushes: go test -race ./internal/core -run Parity
+// sets, degrees and map_P exactly, and clustering (whose assignment is
+// independent of the worker count) must emit a subset of the baseline's
+// sets with its recall measured and reported. Run it under -race to also
+// exercise the tape pool and counter flushes:
+// go test -race ./internal/core -run Parity
 func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := randomCorpus(seed)
@@ -134,29 +136,33 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		truth := NewResult()
-		Baseline(s, TaskAll, truth)
+		if err := Compute(s, AlgorithmBaseline, Options{Workers: 1}, truth); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		truth.Sort()
 		tf, tp, tc := pairSet(truth.FullSet), pairSet(truth.PartialSet), pairSet(truth.ComplSet)
 
 		for _, workers := range []int{1, 2, 8} {
-			// Exact algorithms: identical sorted sets and degrees.
-			for name, run := range map[string]func(Sink){
-				"parallel-baseline":    func(sink Sink) { ParallelBaseline(s, TaskAll, sink, workers) },
-				"parallel-cubemasking": func(sink Sink) { ParallelCubeMasking(s, TaskAll, sink, workers) },
+			// Exact algorithms: identical sorted sets, degrees and map_P.
+			for name, alg := range map[string]Algorithm{
+				"parallel-baseline":    AlgorithmBaseline,
+				"parallel-cubemasking": AlgorithmParallel,
 			} {
 				res := NewResult()
-				run(res)
+				if err := Compute(s, alg, Options{Workers: workers}, res); err != nil {
+					t.Fatalf("seed %d workers %d: %s: %v", seed, workers, name, err)
+				}
 				res.Sort()
 				if !samePairs(truth.FullSet, res.FullSet) ||
 					!samePairs(truth.PartialSet, res.PartialSet) ||
 					!samePairs(truth.ComplSet, res.ComplSet) {
 					t.Errorf("seed %d workers %d: %s diverged from baseline", seed, workers, name)
 				}
-				for p, d := range truth.PartialDegree {
-					if res.PartialDegree[p] != d {
-						t.Errorf("seed %d workers %d: %s degree(%v) = %v, want %v",
-							seed, workers, name, p, res.PartialDegree[p], d)
-					}
+				if !reflect.DeepEqual(truth.PartialDegree, res.PartialDegree) {
+					t.Errorf("seed %d workers %d: %s degrees differ from baseline", seed, workers, name)
+				}
+				if !reflect.DeepEqual(truth.PartialDims, res.PartialDims) {
+					t.Errorf("seed %d workers %d: %s map_P differs from baseline", seed, workers, name)
 				}
 			}
 
@@ -166,12 +172,7 @@ func TestParityRandomSpacesAcrossWorkers(t *testing.T) {
 			opts := ClusteringOptions{}
 			opts.Config.Seed = 11
 			cres := NewResult()
-			if workers > 1 {
-				_, err = ParallelClustering(s, TaskAll, cres, opts, workers)
-			} else {
-				_, err = Clustering(s, TaskAll, cres, opts)
-			}
-			if err != nil {
+			if err := Compute(s, AlgorithmClustering, Options{Clustering: opts, Workers: workers}, cres); err != nil {
 				t.Fatalf("seed %d workers %d: clustering: %v", seed, workers, err)
 			}
 			cres.Sort()

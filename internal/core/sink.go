@@ -103,12 +103,13 @@ const (
 var errTapeCorrupt = errors.New("core: corrupt tape buffer")
 
 // tape is the private sink of a parallel work item: it records every
-// emission onto its byte buffer, preserving the exact call sequence, so an
-// ordered replay can reproduce the serial algorithm's emission stream bit
-// for bit (a sorted-set merge would lose the interleaving of Full/Partial/
-// Compl calls within a shard). Tapes are the workers' reusable pair
-// buffers: recycled through a pool, they make steady-state parallel runs
-// allocate nothing per work item beyond first-use buffer growth.
+// emission onto its byte buffer, preserving the exact call sequence, so
+// the merge can decode it into the shared sink without a lock per event.
+// The sequence is deterministic per shard, which is what lets the retry of
+// a panicked shard skip the bytes its first attempt already flushed. Tapes
+// are the workers' reusable pair buffers: recycled through a pool, they
+// make steady-state parallel runs allocate nothing per work item beyond
+// first-use buffer growth.
 type tape struct {
 	buf []byte
 	// flushed counts bytes already decoded into the shared sink by the

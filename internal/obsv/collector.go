@@ -157,7 +157,7 @@ func (c *Collector) Start(name string) func() {
 			c.smu.Unlock()
 			// Every phase close feeds the per-phase duration histogram, so
 			// long-running servers get kernel-phase latency distributions
-			// (phase.compare.us, phase.replay.us, …) for free — one Observe
+			// (phase.compare.us, phase.emit.us, …) for free — one Observe
 			// per phase, nowhere near the per-pair hot path.
 			c.Observe("phase."+sp.Name+".us", int64(sp.Seconds*1e6))
 		})

@@ -191,8 +191,9 @@ func Compute(corpus *Corpus, alg Algorithm, opts Options) (*Computation, error) 
 // shortly after ctx is canceled (or an Options budget — Deadline,
 // MaxPairs, StallTimeout — runs out) and returns an error matching
 // errors.Is(err, ErrCanceled). On cancellation the returned Computation is
-// NOT nil: it carries the sorted partial result — an exact serial-order
-// prefix of the full run — so callers can report what was salvaged.
+// NOT nil: it carries the sorted partial result — a subset of the full
+// run with every relationship exactly once, as core.ComputeCtx and DESIGN
+// §9.2 define it — so callers can report what was salvaged.
 func ComputeContext(ctx context.Context, corpus *Corpus, alg Algorithm, opts Options) (*Computation, error) {
 	s, res, err := core.ComputeCorpusCtx(ctx, corpus, alg, opts)
 	if s == nil {
@@ -470,8 +471,9 @@ type ChaosProxyConfig = netchaos.Config
 // CanceledError reports a cooperatively canceled run (context, deadline,
 // pair budget or stall watchdog). It matches errors.Is(err, ErrCanceled);
 // its Cause field carries the specific trigger and Pairs the budget
-// position of the abort. The caller's sink / partial Computation holds an
-// exact serial-order prefix of the full emission stream.
+// position of the abort. The caller's sink / partial Computation holds the
+// partial result core.ComputeCtx and DESIGN §9.2 define: a subset of the
+// full run, every relationship exactly once.
 type CanceledError = core.CanceledError
 
 // ShardPanicError reports a parallel shard that panicked twice (once
